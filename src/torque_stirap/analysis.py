@@ -1,15 +1,11 @@
 """Experiment drivers: efficiency metrics, delay/area scans, adiabaticity.
 
-Scans evaluate one integration per parameter value.  Points are independent;
-they run on a thread pool capped by the ``TORQUE_STIRAP_THREADS`` environment
-variable (default: available parallelism) and results are assembled in
-parameter order, so the output is deterministic regardless of scheduling.
+Scans evaluate one integration per parameter value, one after another in
+parameter order (a point takes milliseconds; threads only contend for the GIL).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +20,7 @@ __all__ = [
     "delay_scan",
     "area_scan",
     "adiabaticity_report",
-    "thread_cap",
 ]
-
-THREADS_ENV = "TORQUE_STIRAP_THREADS"
 
 AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -35,19 +28,6 @@ AXES = {"x": 0, "y": 1, "z": 2}
 #: from the adiabaticity ratio: in the far tails the ratio rate/field blows
 #: up numerically while nothing is turning, which would drown the signal.
 THETA_RATE_FLOOR = 1e-3
-
-
-def thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -132,18 +112,6 @@ def _max_rate_ratio(times, theta, p_vals, s_vals):
     return float(np.max(rate[mask] / mag[mask]))
 
 
-def _scan_point(schedule, mapping, x0, method, steps, rtol, window):
-    if window is None:
-        window = schedule.window()
-    grid = dynamics.time_grid(window[0], window[1], steps)
-    field = systems.to_angular_velocity(mapping, schedule)
-    traj = dynamics.integrate(field, x0, grid, method=method, rtol=rtol)
-    d = traj.diagnostics
-    a_rms = float(np.trapezoid(np.hypot(d.p_values, d.s_values), traj.times))
-    ratio = _max_rate_ratio(traj.times, d.mixing_angle, d.p_values, d.s_values)
-    return traj.final_state, a_rms, ratio, traj.norm_drift
-
-
 def _run_scan(parameter, values, schedules, mapping, x0, method, steps, rtol, window):
     n = len(values)
     finals = np.full((n, 3), np.nan)
@@ -151,20 +119,19 @@ def _run_scan(parameter, values, schedules, mapping, x0, method, steps, rtol, wi
     ratios = np.full(n, np.nan)
     drifts = np.full(n, np.nan)
     errors = [None] * n
-
-    def work(i):
+    for i, schedule in enumerate(schedules):
+        lo, hi = schedule.window() if window is None else window
+        field = systems.to_angular_velocity(mapping, schedule)
+        grid = dynamics.time_grid(lo, hi, steps)
         try:
-            return _scan_point(schedules[i], mapping, x0, method, steps, rtol, window)
+            traj = dynamics.integrate(field, x0, grid, method=method, rtol=rtol)
         except dynamics.IntegrationError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        results = list(pool.map(work, range(n)))
-    for i, res in enumerate(results):
-        if isinstance(res, dynamics.IntegrationError):
-            errors[i] = str(res)
+            errors[i] = str(exc)
             continue
-        finals[i], areas[i], ratios[i], drifts[i] = res
+        d = traj.diagnostics
+        finals[i], drifts[i] = traj.final_state, traj.norm_drift
+        areas[i] = float(np.trapezoid(np.hypot(d.p_values, d.s_values), traj.times))
+        ratios[i] = _max_rate_ratio(traj.times, d.mixing_angle, d.p_values, d.s_values)
     return ScanResult(
         parameter=parameter,
         values=np.asarray(values, dtype=float),
@@ -256,13 +223,7 @@ def adiabaticity_report(
     t = np.linspace(window[0], window[1], steps + 1)
     p_vals = schedule.p(t)
     s_vals = schedule.s(t)
-    theta = np.empty(t.size)
-    last = 0.0
-    for i in range(t.size):
-        th = pulses.mixing_angle(float(p_vals[i]), float(s_vals[i]))
-        if th is not None:
-            last = th
-        theta[i] = last
+    theta, _ = pulses.mixing_angles(p_vals, s_vals)
     return AdiabaticityRecord(
         a_p=float(np.trapezoid(p_vals, t)),
         a_s=float(np.trapezoid(s_vals, t)),

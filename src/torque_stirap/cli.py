@@ -64,6 +64,14 @@ class RunConfig:
     amp_step: float = _AMP_GRID_DEFAULT[2]
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for key in ("b0", "s_b0"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.system not in SYSTEM_KINDS:

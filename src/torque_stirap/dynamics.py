@@ -17,6 +17,10 @@ rigidly and conserves its norm.  Three integrators are provided:
 
 All integrators sample the solution on the caller's grid; times are in
 units of the pulse width T.
+
+The equation is linear in X, so each fixed step is a 3x3 map.  The fixed-
+step kernel samples W(t) as arrays, builds the maps of :data:`CHUNK` steps
+at once and composes them by an inclusive prefix product.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pulses import mixing_angle
+from .pulses import mixing_angles
 
 __all__ = [
     "AngularVelocityField",
@@ -45,9 +49,13 @@ METHODS = ("rk4", "adaptive", "piecewise_rotation")
 DEFAULT_STEPS = 4096
 DEFAULT_RTOL = 1e-9
 
+#: Steps per chunk of the fixed-step kernel and the diagnostics: bounds their
+#: (CHUNK, 3, 3) buffers whatever the grid length, at little call overhead.
+CHUNK = 1024
+
 
 class IntegrationError(RuntimeError):
-    """Raised when the adaptive stepper cannot meet its accuracy target."""
+    """Raised when the adaptive stepper fails or a state is non-finite."""
 
     def __init__(self, message, t=None):
         super().__init__(message)
@@ -58,24 +66,32 @@ class IntegrationError(RuntimeError):
 class AngularVelocityField:
     """A time-dependent angular-velocity vector W(t), plus metadata.
 
-    ``components(t)`` returns the tuple (wx, wy, wz) in units 1/T; this is
-    the form the integrator hot loops consume.  ``profiles``, when present,
-    returns the unsigned scalar magnitudes (|W_x|, |W_z|) the schedule
-    contributed, which is what the trajectory diagnostics (mixing angle,
-    dark projection, areas) are built from.
+    ``sample(t)`` maps a 1-d array of times to the (n, 3) array of W in
+    units 1/T; the fixed-step kernel consumes this form.  ``components(t)``
+    returns the tuple (wx, wy, wz) at one float time, for the adaptive
+    stepper whose step points are not known in advance; when omitted it is
+    derived from ``sample``.  ``profiles``, when present, maps an array of
+    times to the arrays of unsigned scalar magnitudes (|W_x|, |W_z|) the
+    schedule contributed, which is what the trajectory diagnostics (mixing
+    angle, dark projection, areas) are built from.
     """
 
-    components: Callable[[float], tuple]
+    sample: Callable[[np.ndarray], np.ndarray]
     kind: str = "generic"
-    profiles: Callable[[float], tuple] | None = None
+    profiles: Callable[[np.ndarray], tuple] | None = None
+    components: Callable[[float], tuple] | None = None
 
     def __call__(self, t):
-        return np.asarray(self.components(float(t)), dtype=float)
+        return np.asarray(self.sample(np.array([float(t)]))[0], dtype=float)
 
     @classmethod
     def constant(cls, w, kind="constant"):
         wx, wy, wz = (float(c) for c in w)
-        return cls(components=lambda t: (wx, wy, wz), kind=kind)
+        row = np.array([wx, wy, wz])
+        return cls(
+            sample=lambda t: np.tile(row, (np.size(t), 1)), kind=kind,
+            components=lambda t: (wx, wy, wz),
+        )
 
 
 @dataclass(frozen=True)
@@ -131,27 +147,6 @@ def torque_rhs(w, x):
     )
 
 
-def _rodrigues(wx, wy, wz, x, y, z, h):
-    """Rotate (x,y,z) about axis (wx,wy,wz) by angle |w|*h.  Exact."""
-    wn = math.sqrt(wx * wx + wy * wy + wz * wz)
-    if wn == 0.0:
-        return x, y, z
-    ang = wn * h
-    kx, ky, kz = wx / wn, wy / wn, wz / wn
-    ca = math.cos(ang)
-    sa = math.sin(ang)
-    kdotx = kx * x + ky * y + kz * z
-    cx = ky * z - kz * y
-    cy = kz * x - kx * z
-    cz = kx * y - ky * x
-    omca = 1.0 - ca
-    return (
-        x * ca + cx * sa + kx * kdotx * omca,
-        y * ca + cy * sa + ky * kdotx * omca,
-        z * ca + cz * sa + kz * kdotx * omca,
-    )
-
-
 def step_exact(w, x, h):
     """Exact rotation of ``x`` about the constant axis ``w`` by angle |w|*h.
 
@@ -159,9 +154,8 @@ def step_exact(w, x, h):
     """
     if not math.isfinite(h):
         raise ValueError("step must be finite")
-    wx, wy, wz = (float(c) for c in w)
-    x1, x2, x3 = (float(c) for c in x)
-    return np.array(_rodrigues(wx, wy, wz, x1, x2, x3, float(h)))
+    w = np.asarray(w, dtype=float).reshape(1, 3)
+    return _rotation_maps(w, np.array([float(h)]))[0] @ np.asarray(x, dtype=float)
 
 
 def time_grid(t0, t1, steps=DEFAULT_STEPS):
@@ -172,52 +166,64 @@ def time_grid(t0, t1, steps=DEFAULT_STEPS):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step integrators (float hot loops; schedules are cheap to evaluate
-# pointwise, so per-step Python arithmetic beats small-array numpy here).
+# Fixed-step kernel: per-step 3x3 maps composed by a prefix product.
 # ---------------------------------------------------------------------------
 
-def _run_rk4(comp, grid, x, y, z):
-    out = np.empty((grid.size, 3))
-    out[0] = (x, y, z)
-    for k in range(grid.size - 1):
-        t = grid[k]
-        h = grid[k + 1] - t
-        h2 = 0.5 * h
-        wx, wy, wz = comp(t)
-        k1x = wy * z - wz * y
-        k1y = wz * x - wx * z
-        k1z = wx * y - wy * x
-        wx, wy, wz = comp(t + h2)
-        ax, ay, az = x + h2 * k1x, y + h2 * k1y, z + h2 * k1z
-        k2x = wy * az - wz * ay
-        k2y = wz * ax - wx * az
-        k2z = wx * ay - wy * ax
-        ax, ay, az = x + h2 * k2x, y + h2 * k2y, z + h2 * k2z
-        k3x = wy * az - wz * ay
-        k3y = wz * ax - wx * az
-        k3z = wx * ay - wy * ax
-        wx, wy, wz = comp(t + h)
-        ax, ay, az = x + h * k3x, y + h * k3y, z + h * k3z
-        k4x = wy * az - wz * ay
-        k4y = wz * ax - wx * az
-        k4z = wx * ay - wy * ax
-        h6 = h / 6.0
-        x += h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z += h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
-        out[k + 1] = (x, y, z)
-    return out
+def _cross_matrices(w):
+    """(n, 3, 3) matrices [w]x with [w]x @ x = w x x, one per row of ``w``."""
+    a = np.zeros((w.shape[0], 3, 3))
+    a[:, 0, 1], a[:, 0, 2] = -w[:, 2], w[:, 1]
+    a[:, 1, 0], a[:, 1, 2] = w[:, 2], -w[:, 0]
+    a[:, 2, 0], a[:, 2, 1] = -w[:, 1], w[:, 0]
+    return a
 
 
-def _run_rotation(comp, grid, x, y, z):
+def _rotation_maps(w, h):
+    """Rodrigues matrices rotating by |w| h about each row of ``w`` (or I)."""
+    wn = np.sqrt(np.sum(w * w, axis=1))
+    k = w / np.where(wn > 0.0, wn, 1.0)[:, None]
+    ang = wn * h
+    ca = np.cos(ang)[:, None, None]
+    maps = np.sin(ang)[:, None, None] * _cross_matrices(k)
+    maps += (1.0 - ca) * (k[:, :, None] * k[:, None, :])
+    maps += ca * np.eye(3)
+    return maps
+
+
+def _rk4_maps(w0, wm, w1, h):
+    """Classical rk4 step maps of dX/dt = [W]x X from W at t, t+h/2, t+h."""
+    hh = h[:, None, None]
+    a1, a2, a3 = _cross_matrices(w0), _cross_matrices(wm), _cross_matrices(w1)
+    k2 = a2 + 0.5 * hh * (a2 @ a1)
+    k3 = a2 + 0.5 * hh * (a2 @ k2)
+    k4 = a3 + hh * (a3 @ k3)
+    return np.eye(3) + (hh / 6.0) * (a1 + 2.0 * (k2 + k3) + k4)
+
+
+def _prefix_product(maps):
+    """Inclusive Hillis-Steele scan in place: maps[i] <- maps[i] @ ... @ maps[0]."""
+    d = 1
+    while d < maps.shape[0]:
+        maps[d:] = maps[d:] @ maps[:-d]
+        d *= 2
+    return maps
+
+
+def _run_fixed(field, grid, x0, method):
+    """States of a fixed-step method on every grid point, chunk by chunk."""
     out = np.empty((grid.size, 3))
-    out[0] = (x, y, z)
-    for k in range(grid.size - 1):
-        t = grid[k]
-        h = grid[k + 1] - t
-        wx, wy, wz = comp(t + 0.5 * h)
-        x, y, z = _rodrigues(wx, wy, wz, x, y, z, h)
-        out[k + 1] = (x, y, z)
+    out[0] = x0
+    sample = field.sample
+    for lo in range(0, grid.size - 1, CHUNK):
+        nodes = grid[lo:lo + CHUNK + 1]
+        t, h = nodes[:-1], np.diff(nodes)
+        wm = sample(t + 0.5 * h)
+        if method == "rk4":
+            w = sample(nodes)
+            maps = _rk4_maps(w[:-1], wm, w[1:], h)
+        else:
+            maps = _rotation_maps(wm, h)
+        out[lo + 1:lo + nodes.size] = _prefix_product(maps) @ out[lo]
     return out
 
 
@@ -286,6 +292,8 @@ def adaptive_path(f, t0, t1, y0, rtol=DEFAULT_RTOL, h0=None, max_steps=1_000_000
             errmax = float(np.max(np.abs(yerr) / scale)) / rtol
             if errmax <= 1.0:
                 break
+            if not math.isfinite(errmax):
+                raise IntegrationError(f"non-finite state at t={t:.6g}", t=t)
             hnew = _SAFETY * h * errmax**_PSHRNK
             h = max(hnew, 0.1 * h) if h > 0 else min(hnew, 0.1 * h)
             if t + h == t:
@@ -328,8 +336,10 @@ def dense_output(nodes, grid):
 
 
 def _run_adaptive(field, grid, x0, rtol):
+    comp = field.components or (lambda t: field.sample(np.array([t]))[0])
+
     def f(t, y):
-        wx, wy, wz = field.components(t)
+        wx, wy, wz = comp(t)
         return np.array(
             [
                 wy * y[2] - wz * y[1],
@@ -350,29 +360,36 @@ def _run_adaptive(field, grid, x0, rtol):
 # ---------------------------------------------------------------------------
 
 def _diagnostics(field, grid, states):
-    prof = field.profiles
     n = grid.size
     p_vals = np.empty(n)
     s_vals = np.empty(n)
     theta = np.empty(n)
     dark = np.empty(n)
     # Both-zero samples hold the last defined value (0 before any is seen).
-    last_theta = 0.0
-    last_dark = 0.0
-    for i in range(n):
-        p, s = prof(float(grid[i]))
-        p_vals[i] = p
-        s_vals[i] = s
-        th = mixing_angle(p, s)
-        if th is not None:
-            last_theta = th
-            norm = math.hypot(p, s)
-            last_dark = (p * states[i, 0] + s * states[i, 2]) / norm
-        theta[i] = last_theta
-        dark[i] = last_dark
+    last_theta = last_dark = 0.0
+    for lo in range(0, n, CHUNK):
+        sl = slice(lo, lo + CHUNK)
+        p, s = field.profiles(grid[sl])
+        th, src = mixing_angles(p, s, last_theta)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            proj = (p * states[sl, 0] + s * states[sl, 2]) / np.hypot(p, s)
+        p_vals[sl], s_vals[sl], theta[sl] = p, s, th
+        dark[sl] = np.where(src >= 0, proj[src], last_dark)
+        last_theta, last_dark = theta[sl][-1], dark[sl][-1]
     return TrajectoryDiagnostics(
         p_values=p_vals, s_values=s_vals, mixing_angle=theta, dark_variable=dark
     )
+
+
+def _norm_drift(grid, states, n0):
+    """Largest relative departure of |X| from ``n0``; raises on a non-finite
+    state, naming the first sample time where it appears."""
+    norms = np.linalg.norm(states, axis=1)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        t_bad = float(grid[np.argmax(bad)])
+        raise IntegrationError(f"non-finite state at t={t_bad:.6g}", t=t_bad)
+    return float(np.max(np.abs(norms - n0)) / n0)
 
 
 def integrate(field, x0, grid, method="rk4", rtol=DEFAULT_RTOL):
@@ -397,6 +414,11 @@ def integrate(field, x0, grid, method="rk4", rtol=DEFAULT_RTOL):
     -------
     Trajectory
         With diagnostics attached when the field carries scalar profiles.
+
+    Raises
+    ------
+    IntegrationError
+        When the adaptive stepper fails, or when any state is non-finite.
     """
     if method == "rotation":
         method = "piecewise_rotation"
@@ -412,16 +434,13 @@ def integrate(field, x0, grid, method="rk4", rtol=DEFAULT_RTOL):
     if n0 == 0.0 or not np.isfinite(n0):
         raise ValueError("x0 must be nonzero and finite")
 
-    comp = field.components
-    if method == "rk4":
-        states = _run_rk4(comp, grid, *(float(c) for c in x0))
-    elif method == "piecewise_rotation":
-        states = _run_rotation(comp, grid, *(float(c) for c in x0))
-    else:
-        states = _run_adaptive(field, grid, x0, rtol)
-
-    norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms - n0)) / n0)
+    # overflow surfaces as non-finite states, which raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "adaptive":
+            states = _run_adaptive(field, grid, x0, rtol)
+        else:
+            states = _run_fixed(field, grid, x0, method)
+    drift = _norm_drift(grid, states, n0)
     diags = _diagnostics(field, grid, states) if field.profiles is not None else None
     return Trajectory(
         times=grid, states=states, norm_drift=drift, method=method, diagnostics=diags

@@ -64,6 +64,8 @@ class PulseEnvelope:
             raise ValueError(f"unknown envelope shape {self.shape!r}")
         if not (self.width > 0):
             raise ValueError(f"width must be positive, got {self.width}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.center)):
+            raise ValueError("amplitude and center must be finite")
         if self.shape == GAUSSIAN:
             if self.amplitude < 0:
                 raise ValueError(
@@ -234,6 +236,21 @@ def mixing_angle(p_value: float, s_value: float):
     if p_value == 0.0 and s_value == 0.0:
         return None
     return math.atan2(p_value, s_value)
+
+
+def mixing_angles(p_values, s_values, held=0.0):
+    """:func:`mixing_angle` along sampled profiles, forward-filled.
+
+    Samples where p and s are both zero hold the last defined angle, and
+    ``held`` before the first one.  Returns ``(theta, source)``, where
+    ``source[i]`` is the sample theta[i] comes from (-1 where ``held``).
+    """
+    p = np.asarray(p_values, dtype=float)
+    s = np.asarray(s_values, dtype=float)
+    source = np.where((p != 0.0) | (s != 0.0), np.arange(p.size), -1)
+    np.maximum.accumulate(source, out=source)
+    theta = np.where(source >= 0, np.arctan2(p, s)[source], held)
+    return theta, source
 
 
 def _trapezoid(f, window, steps):

@@ -94,33 +94,35 @@ class SystemMapping:
 def to_angular_velocity(mapping: SystemMapping, schedule: PulseSchedule) -> AngularVelocityField:
     """Build the angular-velocity field W(t) for ``mapping`` and ``schedule``.
 
-    The field's ``profiles`` carry the unsigned magnitudes
-    (|W_x(t)|, |W_z(t)|), which feed the mixing-angle and dark-variable
-    diagnostics and the scan area columns.
+    W is sampled on time arrays through the schedule's envelopes; a scalar
+    evaluator backs ``components`` for the adaptive stepper.  The field's
+    ``profiles`` carry the unsigned magnitudes (|W_x(t)|, |W_z(t)|), which
+    feed the mixing-angle and dark-variable diagnostics and the scan area
+    columns.
     """
     if not isinstance(mapping, SystemMapping):
         raise ValueError("mapping must be a SystemMapping")
+    # the quantum row's W is [+p/2, 0, +s/2]; classical rows: factor * [-p, 0, s]
+    fx, fz = (0.5, 0.5) if mapping.kind == "quantum" else (-mapping.factor, mapping.factor)
+    mag = abs(fz)
     sched_p = scalar_evaluator(schedule.p_pulse)
     sched_s = scalar_evaluator(schedule.s_pulse)
-    if mapping.kind == "quantum":
 
-        def components(t):
-            return (0.5 * sched_p(t), 0.0, 0.5 * sched_s(t))
+    def sample(t):
+        w = np.zeros((np.size(t), 3))
+        w[:, 0] = fx * schedule.p(t)
+        w[:, 2] = fz * schedule.s(t)
+        return w
 
-        def profiles(t):
-            return (0.5 * sched_p(t), 0.5 * sched_s(t))
+    def components(t):
+        return (fx * sched_p(t), 0.0, fz * sched_s(t))
 
-    else:
-        fac = mapping.factor
-        mag = abs(fac)
+    def profiles(t):
+        return (mag * schedule.p(t), mag * schedule.s(t))
 
-        def components(t):
-            return (-fac * sched_p(t), 0.0, fac * sched_s(t))
-
-        def profiles(t):
-            return (mag * sched_p(t), mag * sched_s(t))
-
-    return AngularVelocityField(components=components, kind=mapping.kind, profiles=profiles)
+    return AngularVelocityField(
+        sample=sample, kind=mapping.kind, profiles=profiles, components=components
+    )
 
 
 def dark_variable(p_value: float, s_value: float, x):

@@ -214,13 +214,10 @@ def check_time_reversal():
     fine = dynamics.integrate(field, x0, dynamics.time_grid(lo, hi, 2 * n)).final_state
     one_way = float(np.linalg.norm(fwd - fine)) / (1.0 - 2.0**-4)
 
-    comp = field.components
-
-    def reversed_components(t):
-        wx, wy, wz = comp(lo + hi - t)
-        return (-wx, -wy, -wz)
-
-    rev_field = dynamics.AngularVelocityField(components=reversed_components, kind="reversed")
+    sample = field.sample
+    rev_field = dynamics.AngularVelocityField(
+        sample=lambda t: -sample(lo + hi - t), kind="reversed"
+    )
     back = dynamics.integrate(rev_field, fwd, dynamics.time_grid(lo, hi, n)).final_state
     roundtrip = float(np.linalg.norm(back - x0))
     return _check(
@@ -240,13 +237,8 @@ def check_scaling_invariance():
     x0 = (0.0, 0.0, 1.0)
     base = dynamics.integrate(field, x0, dynamics.time_grid(lo, hi, 4096)).final_state
     k = 3.0
-    comp = field.components
-
-    def scaled(t):
-        wx, wy, wz = comp(k * t)
-        return (k * wx, k * wy, k * wz)
-
-    fld2 = dynamics.AngularVelocityField(components=scaled, kind="scaled")
+    sample = field.sample
+    fld2 = dynamics.AngularVelocityField(sample=lambda t: k * sample(k * t), kind="scaled")
     scaled_fin = dynamics.integrate(
         fld2, x0, dynamics.time_grid(lo / k, hi / k, 4096)
     ).final_state

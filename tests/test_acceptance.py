@@ -48,9 +48,8 @@ def test_criterion_1_reference_transfer_reproduction():
     assert not failed, f"failed clauses: {failed}"
 
 
-def test_criterion_2_delay_scan_structure(monkeypatch):
+def test_criterion_2_delay_scan_structure():
     """Delay scan at drive 40/T over [-3T, 3T]: plateau, oscillation, z symmetry."""
-    monkeypatch.setenv("TORQUE_STIRAP_THREADS", "1")
     t0 = time.perf_counter()
     taus = -3.0 + 0.025 * np.arange(241)
     scan = delay_scan(

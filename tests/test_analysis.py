@@ -7,7 +7,6 @@ from torque_stirap.analysis import (
     adiabaticity_report,
     area_scan,
     delay_scan,
-    thread_cap,
     transfer_efficiency,
 )
 from torque_stirap.dynamics import AngularVelocityField, integrate, time_grid
@@ -112,15 +111,13 @@ class TestDelayScan:
         assert np.all(scan.norm_drift < 1e-5)
         assert scan.rms_areas[0] == pytest.approx(scan.rms_areas[2], rel=1e-9)
 
-    def test_determinism_under_thread_cap(self, monkeypatch):
+    def test_determinism_under_rerun(self):
         base = PulseSchedule.from_delay(40.0, -1.2)
         taus = np.linspace(-1.5, 1.5, 7)
-        monkeypatch.setenv("TORQUE_STIRAP_THREADS", "1")
         a = delay_scan(base, taus, SystemMapping("lorentz"), steps=512)
-        monkeypatch.setenv("TORQUE_STIRAP_THREADS", "4")
         b = delay_scan(base, taus, SystemMapping("lorentz"), steps=512)
-        assert np.array_equal(a.final_states, b.final_states)
-        assert thread_cap() == 4
+        for name in ("final_states", "rms_areas", "max_rate_ratio", "norm_drift"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_failed_rows_annotated_and_scan_continues(self):
         # an impossible tolerance makes the adaptive stepper underflow; the
@@ -135,14 +132,6 @@ class TestDelayScan:
             assert scan.errors[i] is not None
             assert "stiffness/accuracy failure" in scan.errors[i]
             assert np.all(np.isnan(scan.final_states[i]))
-
-    def test_bad_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("TORQUE_STIRAP_THREADS", "zero")
-        with pytest.raises(ValueError, match="TORQUE_STIRAP_THREADS"):
-            thread_cap()
-        monkeypatch.setenv("TORQUE_STIRAP_THREADS", "0")
-        with pytest.raises(ValueError, match="TORQUE_STIRAP_THREADS"):
-            thread_cap()
 
 
 class TestAreaScan:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torque_stirap.dynamics import (
+    CHUNK,
     AngularVelocityField,
     IntegrationError,
     integrate,
@@ -11,13 +12,150 @@ from torque_stirap.dynamics import (
     time_grid,
     torque_rhs,
 )
-from torque_stirap.pulses import PulseSchedule
-from torque_stirap.systems import SystemMapping, to_angular_velocity
+from torque_stirap.pulses import PulseEnvelope, PulseSchedule, mixing_angle
+from torque_stirap.systems import SYSTEM_KINDS, SystemMapping, to_angular_velocity
 
 
-def reference_field(amplitude=20.0, kind="lorentz"):
-    sched = PulseSchedule.from_delay(amplitude, -1.2)
+def reference_field(amplitude=20.0, kind="lorentz", delay=-1.2):
+    sched = PulseSchedule.from_delay(amplitude, delay)
     return to_angular_velocity(SystemMapping(kind), sched), sched.window()
+
+
+# Reference implementations: the scalar per-step loops the array kernel
+# replaced.  They consume the field's scalar ``components``.
+
+def _rodrigues(wx, wy, wz, x, y, z, h):
+    wn = math.sqrt(wx * wx + wy * wy + wz * wz)
+    if wn == 0.0:
+        return x, y, z
+    ang = wn * h
+    kx, ky, kz = wx / wn, wy / wn, wz / wn
+    ca = math.cos(ang)
+    sa = math.sin(ang)
+    kdotx = kx * x + ky * y + kz * z
+    cx = ky * z - kz * y
+    cy = kz * x - kx * z
+    cz = kx * y - ky * x
+    omca = 1.0 - ca
+    return (
+        x * ca + cx * sa + kx * kdotx * omca,
+        y * ca + cy * sa + ky * kdotx * omca,
+        z * ca + cz * sa + kz * kdotx * omca,
+    )
+
+
+def loop_rk4(comp, grid, x, y, z):
+    out = np.empty((grid.size, 3))
+    out[0] = (x, y, z)
+    for k in range(grid.size - 1):
+        t = grid[k]
+        h = grid[k + 1] - t
+        h2 = 0.5 * h
+        wx, wy, wz = comp(t)
+        k1x = wy * z - wz * y
+        k1y = wz * x - wx * z
+        k1z = wx * y - wy * x
+        wx, wy, wz = comp(t + h2)
+        ax, ay, az = x + h2 * k1x, y + h2 * k1y, z + h2 * k1z
+        k2x = wy * az - wz * ay
+        k2y = wz * ax - wx * az
+        k2z = wx * ay - wy * ax
+        ax, ay, az = x + h2 * k2x, y + h2 * k2y, z + h2 * k2z
+        k3x = wy * az - wz * ay
+        k3y = wz * ax - wx * az
+        k3z = wx * ay - wy * ax
+        wx, wy, wz = comp(t + h)
+        ax, ay, az = x + h * k3x, y + h * k3y, z + h * k3z
+        k4x = wy * az - wz * ay
+        k4y = wz * ax - wx * az
+        k4z = wx * ay - wy * ax
+        h6 = h / 6.0
+        x += h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y += h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z += h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
+        out[k + 1] = (x, y, z)
+    return out
+
+
+def loop_rotation(comp, grid, x, y, z):
+    out = np.empty((grid.size, 3))
+    out[0] = (x, y, z)
+    for k in range(grid.size - 1):
+        t = grid[k]
+        h = grid[k + 1] - t
+        wx, wy, wz = comp(t + 0.5 * h)
+        x, y, z = _rodrigues(wx, wy, wz, x, y, z, h)
+        out[k + 1] = (x, y, z)
+    return out
+
+
+LOOPS = {"rk4": loop_rk4, "piecewise_rotation": loop_rotation}
+
+
+def loop_diagnostics(profiles, grid, states):
+    """Per-sample mixing angle and dark projection; both-zero samples hold
+    the last defined value (0 before any is seen)."""
+    p_vals, s_vals = profiles(grid)
+    theta = np.empty(grid.size)
+    dark = np.empty(grid.size)
+    last_theta = last_dark = 0.0
+    for i in range(grid.size):
+        p, s = float(p_vals[i]), float(s_vals[i])
+        th = mixing_angle(p, s)
+        if th is not None:
+            last_theta = th
+            last_dark = (p * states[i, 0] + s * states[i, 2]) / math.hypot(p, s)
+        theta[i] = last_theta
+        dark[i] = last_dark
+    return theta, dark
+
+
+def assert_kernel_matches_loop(field, x0, grid, method):
+    kernel = integrate(field, x0, grid, method=method).states
+    loop = LOOPS[method](field.components, grid, *(float(c) for c in x0))
+    np.testing.assert_allclose(kernel, loop, rtol=0.0, atol=1e-12)
+
+
+class TestKernelAgainstLoop:
+    @pytest.mark.parametrize("method", sorted(LOOPS))
+    @pytest.mark.parametrize("kind", SYSTEM_KINDS)
+    @pytest.mark.parametrize("delay", [-1.2, 0.0, 1.2])
+    def test_systems_and_delays(self, method, kind, delay):
+        field, window = reference_field(amplitude=20.0, kind=kind, delay=delay)
+        assert_kernel_matches_loop(field, (0.0, 0.0, 1.0), time_grid(*window, 4096), method)
+
+    @pytest.mark.parametrize("method", sorted(LOOPS))
+    @pytest.mark.parametrize("steps", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_chunk_boundaries(self, method, steps):
+        # the first steps of the 4096-step reference grid
+        field, window = reference_field()
+        grid = time_grid(*window, 4096)[: steps + 1]
+        assert_kernel_matches_loop(field, (0.2, -0.5, 0.84), grid, method)
+
+    def test_diagnostics_hold_across_chunks(self):
+        # sampled pulses with both-zero stretches at the start, across the
+        # first two chunk boundaries, and at the end
+        t = np.linspace(-3.0, 3.0, 601)
+        p = 20.0 * np.exp(-((t + 0.5) ** 2))
+        s = 20.0 * np.exp(-((t - 0.5) ** 2))
+        gaps = ((t > -1.4) & (t < -1.1)) | ((t > 1.3) & (t < 1.6))
+        p[gaps] = s[gaps] = 0.0
+        sched = PulseSchedule(PulseEnvelope.sampled(t, p), PulseEnvelope.sampled(t, s))
+        field = to_angular_velocity(SystemMapping("lorentz"), sched)
+        grid = time_grid(-4.0, 4.0, 3000)
+        traj = integrate(field, (0.0, 0.0, 1.0), grid)
+        theta, dark = loop_diagnostics(field.profiles, grid, traj.states)
+        d = traj.diagnostics
+        assert d.mixing_angle[0] == 0.0 and d.dark_variable[0] == 0.0
+        np.testing.assert_allclose(d.mixing_angle, theta, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(d.dark_variable, dark, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("method", sorted(LOOPS))
+    def test_non_uniform_grid(self, method):
+        field, (lo, hi) = reference_field()
+        u = np.linspace(-1.0, 1.0, 3001)
+        grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sign(u) * np.abs(u) ** 1.5
+        assert_kernel_matches_loop(field, (0.0, 0.0, 1.0), grid, method)
 
 
 class TestTorqueRhs:
@@ -138,10 +276,8 @@ class TestIntegrate:
         fwd = integrate(field, x0, time_grid(lo, hi, n)).final_state
         fine = integrate(field, x0, time_grid(lo, hi, 2 * n)).final_state
         one_way = np.linalg.norm(fwd - fine) / (1 - 2.0**-4)
-        comp = field.components
-        rev = AngularVelocityField(
-            components=lambda t: tuple(-c for c in comp(lo + hi - t))
-        )
+        sample = field.sample
+        rev = AngularVelocityField(sample=lambda t: -sample(lo + hi - t))
         back = integrate(rev, fwd, time_grid(lo, hi, n)).final_state
         assert np.linalg.norm(back - x0) < 10 * one_way
 
@@ -149,10 +285,8 @@ class TestIntegrate:
         field, (lo, hi) = reference_field()
         base = integrate(field, [0, 0, 1], time_grid(lo, hi, 4096)).final_state
         k = 3.0
-        comp = field.components
-        scaled = AngularVelocityField(
-            components=lambda t: tuple(k * c for c in comp(k * t))
-        )
+        sample = field.sample
+        scaled = AngularVelocityField(sample=lambda t: k * sample(k * t))
         fin = integrate(scaled, [0, 0, 1], time_grid(lo / k, hi / k, 4096)).final_state
         assert np.linalg.norm(fin - base) < 1e-8
 
@@ -161,13 +295,9 @@ class TestIntegrate:
         # the whole trajectory
         field, window = reference_field(amplitude=17.0)
         grid = time_grid(*window, 1024)
-        comp = field.components
+        sample = field.sample
         reflected = AngularVelocityField(
-            components=lambda t: (
-                comp(t)[0],
-                -comp(t)[1],
-                -comp(t)[2],
-            )
+            sample=lambda t: sample(t) * np.array([1.0, -1.0, -1.0])
         )
         x0 = np.array([0.2, -0.5, 0.84])
         base = integrate(field, x0, grid)

@@ -10,6 +10,7 @@ from torque_stirap.pulses import (
     default_window,
     evaluate_envelope,
     mixing_angle,
+    mixing_angles,
     pulse_area,
     refine_quadrature,
     rms_area,
@@ -65,6 +66,9 @@ class TestEnvelope:
             PulseEnvelope.gaussian(-1.0)
         with pytest.raises(ValueError):
             PulseEnvelope(amplitude=1.0, width=0.0)
+        for amplitude, center in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                PulseEnvelope.gaussian(amplitude, center=center)
 
     def test_sampled_interpolation_and_support(self):
         times = np.array([0.0, 1.0, 2.0])
@@ -108,6 +112,17 @@ class TestMixingAngle:
         angles = [mixing_angle(float(v), s) for v in p]
         assert all(a <= b + 1e-15 for a, b in zip(angles, angles[1:]))
         assert all(0.0 <= a <= math.pi / 2 for a in angles)
+
+    def test_array_form_holds_undefined_samples(self):
+        p = np.array([0.0, 0.0, 3.0, 0.0, 0.0, 5.0, 0.0])
+        s = np.array([0.0, 0.0, 3.0, 0.0, 2.0, 0.0, 0.0])
+        theta, source = mixing_angles(p, s)
+        assert source.tolist() == [-1, -1, 2, 2, 4, 5, 5]
+        expected = [0.0, 0.0, math.pi / 4, math.pi / 4, 0.0, math.pi / 2, math.pi / 2]
+        assert theta.tolist() == pytest.approx(expected, abs=1e-15)
+        held, _ = mixing_angles(p, s, held=0.7)
+        assert held[:2].tolist() == [0.7, 0.7]
+        assert np.array_equal(held[2:], theta[2:])
 
 
 class TestAreas:

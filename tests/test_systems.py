@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torque_stirap.dynamics import AngularVelocityField, integrate, time_grid
-from torque_stirap.pulses import PulseSchedule, scalar_evaluator
+from torque_stirap.pulses import PulseSchedule
 from torque_stirap.systems import (
     SystemMapping,
     dark_variable,
@@ -57,14 +57,12 @@ class TestMappingTable:
         # raw field components B = [-p, 0, s] and compare to the adapter
         q_over_m = 1.7
         sched = PulseSchedule.from_delay(9.0, -0.8, s_amplitude=13.0)
-        p_of = scalar_evaluator(sched.p_pulse)
-        s_of = scalar_evaluator(sched.s_pulse)
 
         def direct(t):
-            bx, bz = -p_of(t), s_of(t)
-            return (-q_over_m * bx, 0.0, -q_over_m * bz)
+            b = np.stack([-sched.p(t), np.zeros(np.size(t)), sched.s(t)], axis=1)
+            return -q_over_m * b
 
-        direct_field = AngularVelocityField(components=direct, kind="direct")
+        direct_field = AngularVelocityField(sample=direct, kind="direct")
         adapter = to_angular_velocity(SystemMapping("lorentz", coupling=q_over_m), sched)
         lo, hi = sched.window()
         x0 = (0.4, -0.3, 0.86)
