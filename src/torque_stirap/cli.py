@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -128,27 +129,13 @@ class RunConfig:
         return d
 
 
-_KEY_TYPES = {
-    "experiment": str,
-    "system": str,
-    "coupling": float,
-    "b0": float,
-    "s_b0": float,
-    "tau": float,
-    "width": float,
-    "initial": list,
-    "method": str,
-    "steps": int,
-    "tol": float,
-    "window": float,
-    "out": str,
-    "delay_min": float,
-    "delay_max": float,
-    "delay_step": float,
-    "amp_min": float,
-    "amp_max": float,
-    "amp_step": float,
-}
+def _json_type(hint):
+    """The JSON value type that a config field annotated ``hint`` accepts."""
+    (base,) = set(typing.get_args(hint) or (hint,)) - {type(None)}
+    return {str: str, float: float, int: int, tuple: list}[base]
+
+
+_KEY_TYPES = {key: _json_type(hint) for key, hint in typing.get_type_hints(RunConfig).items()}
 
 # experiment-dependent defaults applied when neither file nor flag sets the key
 _EXPERIMENT_DEFAULTS = {
@@ -234,8 +221,8 @@ def parse_config(file_text: str | None, overrides: dict, experiment: str) -> Run
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+#: Text of every float in a CSV; ``%`` and ``format`` give the same digits.
+_FLOAT = "%.12g"
 
 
 def _metadata_lines(config: RunConfig):
@@ -247,15 +234,19 @@ def _metadata_lines(config: RunConfig):
     ]
 
 
-def _write_csv(path, config, header, rows, footer=None):
+def _write_csv(path, config, header, table, footer=()):
+    """Write ``table`` (rows x columns of floats) under the metadata block.
+
+    The whole table is formatted in one ``%`` over a repeated row template.
+    """
+    row = ",".join([_FLOAT] * table.shape[1])
     lines = _metadata_lines(config)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    if footer:
-        lines.extend(footer)
+    lines.append("\n".join([row] * table.shape[0]) % tuple(table.ravel().tolist()))
+    lines.extend(footer)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    print(f"wrote {path} ({table.shape[0]} rows)")
 
 
 def _run_simulate(config: RunConfig) -> int:
@@ -265,63 +256,65 @@ def _run_simulate(config: RunConfig) -> int:
         field_, config.initial, config.grid(sched), method=config.method, rtol=config.tol
     )
     d = traj.diagnostics
-    norms = np.linalg.norm(traj.states, axis=1)
-    rows = [
-        (
-            traj.times[i],
-            traj.states[i, 0],
-            traj.states[i, 1],
-            traj.states[i, 2],
-            d.dark_variable[i],
-            d.mixing_angle[i],
-            norms[i],
-        )
-        for i in range(traj.times.size)
-    ]
+    table = np.column_stack((
+        traj.times, traj.states, d.dark_variable, d.mixing_angle,
+        np.linalg.norm(traj.states, axis=1),
+    ))
     _write_csv(
         config.out_path,
         config,
         ("t", "x", "y", "z", "dark_variable", "mixing_angle", "norm"),
-        rows,
+        table,
     )
-    print(f"wrote {config.out_path} ({len(rows)} rows)")
     return 0
 
 
 def _scan_rows_and_footer(scan):
-    rows = []
-    failed = []
-    for i in range(scan.row_count()):
-        rows.append(
-            (
-                scan.values[i],
-                scan.final_states[i, 0],
-                scan.final_states[i, 1],
-                scan.final_states[i, 2],
-                scan.rms_areas[i],
-                scan.norm_drift[i],
-            )
-        )
-        if scan.errors[i] is not None:
-            failed.append(f"# failed: {scan.parameter}={_fmt(scan.values[i])}: {scan.errors[i]}")
-    return rows, failed
+    table = np.column_stack(
+        (scan.values, scan.final_states, scan.rms_areas, scan.norm_drift)
+    )
+    failed = [
+        f"# failed: {scan.parameter}={_FLOAT % value}: {error}"
+        for value, error in zip(scan.values, scan.errors)
+        if error is not None
+    ]
+    return table, failed
+
+
+#: Largest number of points a scan grid may have.
+MAX_SCAN_POINTS = 100_000
 
 
 def _value_grid(lo, hi, step):
     if step <= 0:
         raise ConfigError("scan step must be positive")
-    n = int(round((hi - lo) / step))
+    intervals = (hi - lo) / step
+    if not math.isfinite(intervals) or round(intervals) >= MAX_SCAN_POINTS:
+        raise ConfigError(
+            f"scan from {lo:g} to {hi:g} in steps of {step:g} "
+            f"has more than {MAX_SCAN_POINTS} points"
+        )
+    n = round(intervals)
     if n < 0:
         raise ConfigError("scan range is empty")
     return lo + step * np.arange(n + 1)
 
 
-def _run_scan_delay(config: RunConfig) -> int:
-    delays = _value_grid(config.delay_min, config.delay_max, config.delay_step)
+def _run_scan(config: RunConfig) -> int:
+    # per scan: its grid's config keys, analysis function and first CSV
+    # column; built per call, like ``run``'s table, so that a wrapper
+    # patched onto ``analysis`` (as the benchmark's tracer does) is called
+    grid_keys, scan_fn, column = {
+        "scan-delay": (
+            ("delay_min", "delay_max", "delay_step"), analysis.delay_scan, "tau_over_T"
+        ),
+        "scan-area": (("amp_min", "amp_max", "amp_step"), analysis.area_scan, "amplitude_T"),
+    }[config.experiment]
+    values = _value_grid(*(getattr(config, key) for key in grid_keys))
     window = None if config.window is None else (-config.window, config.window)
-    scan = analysis.delay_scan(
+    scan = scan_fn(
         config.schedule(),
-        delays,
+        values,
         config.mapping(),
         x0=config.initial,
         method=config.method,
@@ -329,40 +322,14 @@ def _run_scan_delay(config: RunConfig) -> int:
         rtol=config.tol,
         window=window,
     )
-    rows, footer = _scan_rows_and_footer(scan)
+    table, footer = _scan_rows_and_footer(scan)
     _write_csv(
         config.out_path,
         config,
-        ("tau_over_T", "vx", "vy", "vz", "rms_area", "norm_drift"),
-        rows,
+        (column, "vx", "vy", "vz", "rms_area", "norm_drift"),
+        table,
         footer,
     )
-    print(f"wrote {config.out_path} ({len(rows)} rows)")
-    return 0 if not footer else 1
-
-
-def _run_scan_area(config: RunConfig) -> int:
-    amps = _value_grid(config.amp_min, config.amp_max, config.amp_step)
-    window = None if config.window is None else (-config.window, config.window)
-    scan = analysis.area_scan(
-        config.schedule(),
-        amps,
-        config.mapping(),
-        x0=config.initial,
-        method=config.method,
-        steps=config.steps,
-        rtol=config.tol,
-        window=window,
-    )
-    rows, footer = _scan_rows_and_footer(scan)
-    _write_csv(
-        config.out_path,
-        config,
-        ("amplitude_T", "vx", "vy", "vz", "rms_area", "norm_drift"),
-        rows,
-        footer,
-    )
-    print(f"wrote {config.out_path} ({len(rows)} rows)")
     return 0 if not footer else 1
 
 
@@ -404,8 +371,8 @@ def run(config: RunConfig) -> int:
     """Dispatch one experiment; returns the process exit status."""
     runner = {
         "simulate": _run_simulate,
-        "scan-delay": _run_scan_delay,
-        "scan-area": _run_scan_area,
+        "scan-delay": _run_scan,
+        "scan-area": _run_scan,
         "verify": _run_verify,
     }[config.experiment]
     return runner(config)
@@ -470,12 +437,10 @@ def main(argv=None) -> int:
         "window": args.window,
     }
     try:
-        config = parse_config(file_text, overrides, args.experiment)
+        return run(parse_config(file_text, overrides, args.experiment))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(config)
     except dynamics.IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

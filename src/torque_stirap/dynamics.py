@@ -275,9 +275,16 @@ def adaptive_path(f, t0, t1, y0, rtol=DEFAULT_RTOL, h0=None, max_steps=1_000_000
 
     Returns the list of accepted nodes ``(t_i, y_i, f_i)`` including both
     endpoints, for dense-output interpolation.  Raises
-    :class:`IntegrationError` on step-size underflow.
+    :class:`IntegrationError` at once for an ``rtol`` below machine epsilon,
+    which no step size can meet, and on step-size underflow.
     """
     t = float(t0)
+    if rtol < np.finfo(float).eps:
+        raise IntegrationError(
+            f"stiffness/accuracy failure at t={t:.6g}: "
+            f"rtol {rtol:g} is below machine epsilon",
+            t=t,
+        )
     y = np.array(y0, copy=True)
     dydt = f(t, y)
     span = float(t1) - t
@@ -311,28 +318,27 @@ def adaptive_path(f, t0, t1, y0, rtol=DEFAULT_RTOL, h0=None, max_steps=1_000_000
 
 
 def dense_output(nodes, grid):
-    """Cubic-Hermite interpolation of an adaptive path onto ``grid``."""
+    """Cubic-Hermite interpolation of an adaptive path onto ``grid``.
+
+    Node states may be real or complex.
+    """
     ts = np.array([n[0] for n in nodes])
-    out = np.empty((len(grid),) + nodes[0][1].shape, dtype=nodes[0][1].dtype)
-    idx = np.searchsorted(ts, grid, side="right") - 1
-    idx = np.clip(idx, 0, len(nodes) - 2)
-    for i, (tq, j) in enumerate(zip(grid, idx)):
-        t0, y0, f0 = nodes[j]
-        t1, y1, f1 = nodes[j + 1]
-        h = t1 - t0
-        if h == 0.0:
-            out[i] = y1
-            continue
-        u = (tq - t0) / h
-        u2 = u * u
-        u3 = u2 * u
-        out[i] = (
-            (2 * u3 - 3 * u2 + 1) * y0
-            + (u3 - 2 * u2 + u) * h * f0
-            + (-2 * u3 + 3 * u2) * y1
-            + (u3 - u2) * h * f1
-        )
-    return out
+    ys = np.array([n[1] for n in nodes])
+    fs = np.array([n[2] for n in nodes])
+    j = np.clip(np.searchsorted(ts, grid, side="right") - 1, 0, len(nodes) - 2)
+    t0 = ts[j][:, None]
+    h = ts[j + 1][:, None] - t0
+    y0, f0, y1, f1 = ys[j], fs[j], ys[j + 1], fs[j + 1]
+    u = (np.asarray(grid)[:, None] - t0) / np.where(h == 0.0, 1.0, h)
+    u2 = u * u
+    u3 = u2 * u
+    out = (
+        (2 * u3 - 3 * u2 + 1) * y0
+        + (u3 - 2 * u2 + u) * h * f0
+        + (-2 * u3 + 3 * u2) * y1
+        + (u3 - u2) * h * f1
+    )
+    return np.where(h == 0.0, y1, out)
 
 
 def _run_adaptive(field, grid, x0, rtol):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from torque_stirap import analysis, cli, dynamics, systems
 from torque_stirap.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -19,6 +20,77 @@ def read_csv(path):
             else:
                 rows.append([float(v) for v in line.split(",")])
     return meta, header, np.array(rows), footer
+
+
+# Reference implementations: the per-row tuple building and the per-value
+# writer that the columnar output path replaced.
+
+def reference_write_csv(path, config, header, rows, footer=None):
+    lines = cli._metadata_lines(config)
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(f"{v:.12g}" for v in row))
+    if footer:
+        lines.extend(footer)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_simulate(config, path):
+    sched = config.schedule()
+    field_ = systems.to_angular_velocity(config.mapping(), sched)
+    traj = dynamics.integrate(
+        field_, config.initial, config.grid(sched), method=config.method, rtol=config.tol
+    )
+    d = traj.diagnostics
+    norms = np.linalg.norm(traj.states, axis=1)
+    rows = [
+        (
+            traj.times[i],
+            traj.states[i, 0],
+            traj.states[i, 1],
+            traj.states[i, 2],
+            d.dark_variable[i],
+            d.mixing_angle[i],
+            norms[i],
+        )
+        for i in range(traj.times.size)
+    ]
+    header = ("t", "x", "y", "z", "dark_variable", "mixing_angle", "norm")
+    reference_write_csv(path, config, header, rows)
+
+
+def reference_scan(config, path):
+    if config.experiment == "scan-delay":
+        lo, hi, step = config.delay_min, config.delay_max, config.delay_step
+        scan_fn, column = analysis.delay_scan, "tau_over_T"
+    else:
+        lo, hi, step = config.amp_min, config.amp_max, config.amp_step
+        scan_fn, column = analysis.area_scan, "amplitude_T"
+    values = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    window = None if config.window is None else (-config.window, config.window)
+    scan = scan_fn(
+        config.schedule(), values, config.mapping(), x0=config.initial,
+        method=config.method, steps=config.steps, rtol=config.tol, window=window,
+    )
+    rows, failed = [], []
+    for i in range(scan.row_count()):
+        rows.append(
+            (
+                scan.values[i],
+                scan.final_states[i, 0],
+                scan.final_states[i, 1],
+                scan.final_states[i, 2],
+                scan.rms_areas[i],
+                scan.norm_drift[i],
+            )
+        )
+        if scan.errors[i] is not None:
+            failed.append(
+                f"# failed: {scan.parameter}={scan.values[i]:.12g}: {scan.errors[i]}"
+            )
+    header = (column, "vx", "vy", "vz", "rms_area", "norm_drift")
+    reference_write_csv(path, config, header, rows, failed)
 
 
 class TestParseConfig:
@@ -227,6 +299,24 @@ class TestScanCommands:
         assert len(footer) == 2
         assert all("stiffness/accuracy failure" in line for line in footer)
 
+    @pytest.mark.parametrize("experiment, settings", [
+        ("scan-delay", {"delay_step": 1e-12}),
+        ("scan-area", {"amp_min": -1e308, "amp_max": 1e308, "amp_step": 1.0}),
+        ("scan-delay", {"delay_min": 1.0, "delay_max": -1.0}),
+    ])
+    def test_oversized_scan_rejected(self, tmp_path, capsys, experiment, settings):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "huge.csv"
+        assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: scan " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_point_cap_boundary(self):
+        assert cli._value_grid(0.0, 99_999.0, 1.0).size == cli.MAX_SCAN_POINTS
+        with pytest.raises(ConfigError, match="more than 100000 points"):
+            cli._value_grid(0.0, 100_000.0, 1.0)
+
     def test_scan_area_columns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -257,6 +347,60 @@ class TestScanCommands:
         assert main(["scan-delay", "--config", str(cfg), "--out", str(base)]) == 0
         _, _, rows0, _ = read_csv(base)
         assert np.allclose(rows[:, 1:4], rows0[:, 1:4], atol=1e-6)
+
+
+def _log_uniform_table():
+    rng = np.random.default_rng(2024)
+    mags = 10.0 ** rng.uniform(-320.0, 308.0, 10**5)
+    return (rng.choice([-1.0, 1.0], mags.size) * mags).reshape(-1, 5)
+
+
+_SPECIAL_VALUES = np.array([[
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0,
+]])
+
+
+class TestColumnarCsv:
+    @pytest.mark.parametrize("table", [_SPECIAL_VALUES, _log_uniform_table()],
+                             ids=["special", "log-uniform"])
+    def test_formatting_matches_per_value_writer(self, tmp_path, capsys, table):
+        config = RunConfig(experiment="simulate")
+        header = [f"c{k}" for k in range(table.shape[1])]
+        footer = ["# failed: delay=0: reason"]
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        cli._write_csv(new, config, header, table, footer)
+        reference_write_csv(ref, config, header, table, footer)
+        assert new.read_bytes() == ref.read_bytes()
+        assert f"({table.shape[0]} rows)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("experiment, settings", [
+        ("simulate", {"steps": 1500}),
+        ("simulate", {"method": "rotation", "system": "coriolis", "b0": 13.3,
+                      "steps": 1000}),
+        ("simulate", {"method": "adaptive", "steps": 700}),
+        ("scan-delay", {"delay_min": -2.0, "delay_max": 2.0, "delay_step": 0.5,
+                        "steps": 512}),
+        ("scan-area", {"amp_min": 33.4, "amp_max": 35.4, "amp_step": 0.25,
+                       "method": "rotation", "steps": 512}),
+        # rows whose numeric cells are NaN, and a footer of failures
+        ("scan-delay", {"delay_min": -1.2, "delay_max": 1.2, "delay_step": 1.2,
+                        "method": "adaptive", "tol": 1e-18, "steps": 64}),
+    ], ids=["rk4", "rotation", "adaptive", "scan-delay", "scan-area", "failed-rows"])
+    def test_cli_csv_matches_reference(self, tmp_path, experiment, settings):
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        config = parse_config(json.dumps(dict(settings, out=str(out))), {}, experiment)
+        code = cli.run(config)
+        if experiment == "simulate":
+            reference_simulate(config, ref)
+        else:
+            reference_scan(config, ref)
+        assert out.read_bytes() == ref.read_bytes()
+        text = out.read_text()
+        failed = text.count("# failed:")
+        assert code == (1 if failed else 0)
+        if "tol" in settings:
+            assert failed == 3 and "\n0,nan,nan,nan,nan,nan\n" in text
 
 
 class TestVerifyCommand:

@@ -7,6 +7,8 @@ from torque_stirap.dynamics import (
     CHUNK,
     AngularVelocityField,
     IntegrationError,
+    adaptive_path,
+    dense_output,
     integrate,
     step_exact,
     time_grid,
@@ -156,6 +158,73 @@ class TestKernelAgainstLoop:
         u = np.linspace(-1.0, 1.0, 3001)
         grid = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sign(u) * np.abs(u) ** 1.5
         assert_kernel_matches_loop(field, (0.0, 0.0, 1.0), grid, method)
+
+
+def loop_dense_output(nodes, grid):
+    """The per-sample cubic-Hermite loop that the array dense output replaced."""
+    ts = np.array([n[0] for n in nodes])
+    out = np.empty((len(grid),) + nodes[0][1].shape, dtype=nodes[0][1].dtype)
+    idx = np.clip(np.searchsorted(ts, grid, side="right") - 1, 0, len(nodes) - 2)
+    for i, (tq, j) in enumerate(zip(grid, idx)):
+        t0, y0, f0 = nodes[j]
+        t1, y1, f1 = nodes[j + 1]
+        h = t1 - t0
+        if h == 0.0:
+            out[i] = y1
+            continue
+        u = (tq - t0) / h
+        u2 = u * u
+        u3 = u2 * u
+        out[i] = (
+            (2 * u3 - 3 * u2 + 1) * y0
+            + (u3 - 2 * u2 + u) * h * f0
+            + (-2 * u3 + 3 * u2) * y1
+            + (u3 - u2) * h * f1
+        )
+    return out
+
+
+def _pulses(t):
+    """Counterintuitive Gaussian pair, P after S, peak 20."""
+    return 20.0 * math.exp(-((t - 0.6) ** 2)), 20.0 * math.exp(-((t + 0.6) ** 2))
+
+
+def torque_nodes_rhs(t, y):
+    p, s = _pulses(t)
+    return torque_rhs((p, 0.0, s), y)
+
+
+def schrodinger_nodes_rhs(t, c):
+    p, s = _pulses(t)
+    return -0.5j * np.array([p * c[1], p * c[0] + s * c[2], s * c[1]])
+
+
+class TestDenseOutputAgainstLoop:
+    @pytest.mark.parametrize("rhs, y0", [
+        (torque_nodes_rhs, np.array([0.0, 0.0, 1.0])),
+        (schrodinger_nodes_rhs, np.array([1.0, 0.0, 0.0], dtype=complex)),
+    ])
+    def test_adaptive_nodes(self, rhs, y0):
+        nodes = adaptive_path(rhs, -5.0, 5.0, y0, rtol=1e-9)
+        node_times = np.array([n[0] for n in nodes])
+        # a uniform grid, every node time (the last included) and one point
+        # past the last node
+        grid = np.sort(np.concatenate([time_grid(-5.0, 5.0, 4096), node_times, [5.5]]))
+        out = dense_output(nodes, grid)
+        assert out.dtype == y0.dtype
+        np.testing.assert_array_equal(out, loop_dense_output(nodes, grid))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_length_last_interval(self, dtype):
+        rng = np.random.default_rng(4)
+        ts = [0.0, 0.3, 1.1, 1.7, 1.7]
+        ys = rng.normal(size=(5, 3)) + (1j * rng.normal(size=(5, 3)) if dtype is complex else 0)
+        fs = rng.normal(size=(5, 3)) + (1j * rng.normal(size=(5, 3)) if dtype is complex else 0)
+        nodes = [(t, y, f) for t, y, f in zip(ts, ys, fs)]
+        grid = np.array([-0.2, 0.0, 0.15, 0.3, 1.0, 1.1, 1.7, 2.5])
+        out = dense_output(nodes, grid)
+        np.testing.assert_array_equal(out, loop_dense_output(nodes, grid))
+        np.testing.assert_array_equal(out[-2:], ys[[4, 4]])
 
 
 class TestTorqueRhs:
@@ -310,6 +379,14 @@ class TestIntegrate:
         field = AngularVelocityField.constant([0, 0, 10.0])
         with pytest.raises(IntegrationError, match="stiffness/accuracy failure"):
             integrate(field, [1, 0, 0], time_grid(0, 10, 8), method="adaptive", rtol=1e-18)
+
+    def test_rtol_below_epsilon_fails_at_start(self):
+        field = AngularVelocityField.constant([0, 0, 10.0])
+        grid = time_grid(0.5, 2.0, 8)
+        with pytest.raises(IntegrationError, match="at t=0.5: rtol 1e-16 is below machine"):
+            integrate(field, [1, 0, 0], grid, method="adaptive", rtol=1e-16)
+        fin = integrate(field, [1, 0, 0], grid, method="adaptive", rtol=1e-15).final_state
+        assert np.allclose(fin, [math.cos(15.0), math.sin(15.0), 0.0], atol=1e-12)
 
     def test_argument_validation(self):
         field = AngularVelocityField.constant([0, 0, 1.0])
