@@ -10,10 +10,8 @@ batch CLI.
 __version__ = "0.1.0"
 
 from .analysis import (
-    AdiabaticityRecord,
     EfficiencyReport,
     ScanResult,
-    adiabaticity_report,
     area_scan,
     delay_scan,
     transfer_efficiency,
@@ -23,9 +21,7 @@ from .dynamics import (
     IntegrationError,
     Trajectory,
     integrate,
-    step_exact,
     time_grid,
-    torque_rhs,
 )
 from .pulses import (
     PulseEnvelope,
@@ -33,7 +29,6 @@ from .pulses import (
     default_window,
     evaluate_envelope,
     mixing_angle,
-    pulse_area,
     refine_quadrature,
     rms_area,
 )
@@ -45,12 +40,10 @@ from .quantum import (
     bloch_map,
     evolve_schrodinger,
     intuitive_populations,
-    schrodinger_rhs,
 )
 from .systems import (
     AdiabaticityMargin,
     SystemMapping,
-    dark_variable,
     lorentz_adiabaticity_bound,
     to_angular_velocity,
 )
@@ -59,7 +52,6 @@ __all__ = [
     "__version__",
     "AdiabaticBasis",
     "AdiabaticityMargin",
-    "AdiabaticityRecord",
     "AngularVelocityField",
     "EfficiencyReport",
     "IntegrationError",
@@ -71,10 +63,8 @@ __all__ = [
     "SystemMapping",
     "Trajectory",
     "adiabatic_basis",
-    "adiabaticity_report",
     "area_scan",
     "bloch_map",
-    "dark_variable",
     "default_window",
     "delay_scan",
     "evaluate_envelope",
@@ -83,13 +73,9 @@ __all__ = [
     "intuitive_populations",
     "lorentz_adiabaticity_bound",
     "mixing_angle",
-    "pulse_area",
     "refine_quadrature",
     "rms_area",
-    "schrodinger_rhs",
-    "step_exact",
     "time_grid",
     "to_angular_velocity",
-    "torque_rhs",
     "transfer_efficiency",
 ]

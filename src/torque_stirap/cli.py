@@ -39,6 +39,9 @@ _DEFAULT_OUT = {
 #: (rms areas) sweep roughly 100..130 at the default delay +1.2T.
 _AMP_GRID_DEFAULT = (33.4, 43.4, 0.25)
 
+#: Largest number of grid intervals a run may request.
+MAX_STEPS = 1 << 20
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -81,6 +84,8 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
         if not (self.width > 0):
@@ -135,7 +140,11 @@ def _json_type(hint):
     return {str: str, float: float, int: int, tuple: list}[base]
 
 
-_KEY_TYPES = {key: _json_type(hint) for key, hint in typing.get_type_hints(RunConfig).items()}
+_HINTS = typing.get_type_hints(RunConfig)
+_KEY_TYPES = {key: _json_type(hint) for key, hint in _HINTS.items()}
+#: Optional keys, for which ``null`` (as the ``# config:`` line echoes an
+#: unset one) means unset.
+_NULLABLE = {key for key, hint in _HINTS.items() if type(None) in typing.get_args(hint)}
 
 # experiment-dependent defaults applied when neither file nor flag sets the key
 _EXPERIMENT_DEFAULTS = {
@@ -158,6 +167,8 @@ def _reject_duplicates(pairs):
 
 
 def _coerce(key, value):
+    if value is None and key in _NULLABLE:
+        return None
     want = _KEY_TYPES[key]
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):

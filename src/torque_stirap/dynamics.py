@@ -5,7 +5,8 @@ rigidly and conserves its norm.  Three integrators are provided:
 
 ``rk4``
     Classical fixed-step Runge-Kutta on the sample grid.  Fourth order;
-    norm conserved to integrator accuracy, not exactly.
+    norm conserved to integrator accuracy, not exactly.  A step with
+    |W| h >= 2 sqrt(2) would amplify the state and raises instead.
 ``piecewise_rotation``
     Rotates X about the axis W(t_mid) frozen at each step midpoint, using
     the closed-form (Rodrigues) rotation.  Second order in the step but
@@ -38,8 +39,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryDiagnostics",
     "IntegrationError",
-    "torque_rhs",
-    "step_exact",
     "integrate",
     "time_grid",
 ]
@@ -53,9 +52,14 @@ DEFAULT_RTOL = 1e-9
 #: (CHUNK, 3, 3) buffers whatever the grid length, at little call overhead.
 CHUNK = 1024
 
+#: rk4 amplifies a rotation once |W| h exceeds 2 sqrt(2), since its
+#: amplification factor obeys |R(iz)|^2 = 1 - z^6/72 + z^8/576.
+RK4_STABILITY = 2.0 * math.sqrt(2.0)
+
 
 class IntegrationError(RuntimeError):
-    """Raised when the adaptive stepper fails or a state is non-finite."""
+    """Raised when the adaptive stepper fails, an rk4 step is unstable, or a
+    state is non-finite."""
 
     def __init__(self, message, t=None):
         super().__init__(message)
@@ -80,9 +84,6 @@ class AngularVelocityField:
     kind: str = "generic"
     profiles: Callable[[np.ndarray], tuple] | None = None
     components: Callable[[float], tuple] | None = None
-
-    def __call__(self, t):
-        return np.asarray(self.sample(np.array([float(t)]))[0], dtype=float)
 
     @classmethod
     def constant(cls, w, kind="constant"):
@@ -125,37 +126,8 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
     @property
-    def initial_state(self):
-        return self.states[0]
-
-    @property
     def final_state(self):
         return self.states[-1]
-
-    def component_squares(self):
-        """(x^2, y^2, z^2) per sample, normalized by the initial norm squared."""
-        n0 = float(np.linalg.norm(self.states[0]))
-        return self.states**2 / (n0 * n0)
-
-
-def torque_rhs(w, x):
-    """Cross product W x X, the right-hand side of the torque equation."""
-    wx, wy, wz = (float(c) for c in w)
-    x1, x2, x3 = (float(c) for c in x)
-    return np.array(
-        [wy * x3 - wz * x2, wz * x1 - wx * x3, wx * x2 - wy * x1]
-    )
-
-
-def step_exact(w, x, h):
-    """Exact rotation of ``x`` about the constant axis ``w`` by angle |w|*h.
-
-    Norm is preserved to round-off; ``w = 0`` returns ``x`` unchanged.
-    """
-    if not math.isfinite(h):
-        raise ValueError("step must be finite")
-    w = np.asarray(w, dtype=float).reshape(1, 3)
-    return _rotation_maps(w, np.array([float(h)]))[0] @ np.asarray(x, dtype=float)
 
 
 def time_grid(t0, t1, steps=DEFAULT_STEPS):
@@ -209,6 +181,20 @@ def _prefix_product(maps):
     return maps
 
 
+def _check_rk4_stable(t, h, w, wm):
+    """Raise at the first step whose z = h max|W| over its three samples
+    reaches :data:`RK4_STABILITY`."""
+    w2 = np.einsum("ij,ij->i", w, w)
+    z2 = h * h * np.maximum(np.maximum(w2[:-1], w2[1:]), np.einsum("ij,ij->i", wm, wm))
+    if z2.max() >= RK4_STABILITY**2:
+        i = int(np.argmax(z2 >= RK4_STABILITY**2))
+        raise IntegrationError(
+            f"rk4 unstable: |W|*h = {math.sqrt(z2[i]):.4g} >= {RK4_STABILITY:.4g} "
+            f"at t={t[i]:.6g}",
+            t=float(t[i]),
+        )
+
+
 def _run_fixed(field, grid, x0, method):
     """States of a fixed-step method on every grid point, chunk by chunk."""
     out = np.empty((grid.size, 3))
@@ -220,6 +206,7 @@ def _run_fixed(field, grid, x0, method):
         wm = sample(t + 0.5 * h)
         if method == "rk4":
             w = sample(nodes)
+            _check_rk4_stable(t, h, w, wm)
             maps = _rk4_maps(w[:-1], wm, w[1:], h)
         else:
             maps = _rotation_maps(wm, h)
@@ -424,7 +411,8 @@ def integrate(field, x0, grid, method="rk4", rtol=DEFAULT_RTOL):
     Raises
     ------
     IntegrationError
-        When the adaptive stepper fails, or when any state is non-finite.
+        When the adaptive stepper fails, when an rk4 step is outside rk4's
+        stability bound, or when any state is non-finite.
     """
     if method == "rotation":
         method = "piecewise_rotation"
@@ -440,13 +428,13 @@ def integrate(field, x0, grid, method="rk4", rtol=DEFAULT_RTOL):
     if n0 == 0.0 or not np.isfinite(n0):
         raise ValueError("x0 must be nonzero and finite")
 
-    # overflow surfaces as non-finite states, which raise below
+    # overflow surfaces as non-finite states, which _norm_drift raises on
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "adaptive":
             states = _run_adaptive(field, grid, x0, rtol)
         else:
             states = _run_fixed(field, grid, x0, method)
-    drift = _norm_drift(grid, states, n0)
+        drift = _norm_drift(grid, states, n0)
     diags = _diagnostics(field, grid, states) if field.profiles is not None else None
     return Trajectory(
         times=grid, states=states, norm_drift=drift, method=method, diagnostics=diags

@@ -32,7 +32,6 @@ __all__ = [
     "RwaHamiltonian",
     "AdiabaticBasis",
     "QuantumTrajectory",
-    "schrodinger_rhs",
     "adiabatic_basis",
     "bloch_map",
     "evolve_schrodinger",
@@ -58,15 +57,6 @@ class RwaHamiltonian:
         return 0.5 * np.array(
             [[0.0, p, 0.0], [p, 0.0, s], [0.0, s, 0.0]]
         )
-
-
-def schrodinger_rhs(h: RwaHamiltonian, c):
-    """dc/dt = -i H c for the resonant three-state chain."""
-    c = np.asarray(c, dtype=complex)
-    p, s = h.omega_p, h.omega_s
-    return -0.5j * np.array(
-        [p * c[1], p * c[0] + s * c[2], s * c[1]]
-    )
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ coriolis        dv/dt = 2 v x omega, omega = [-p, 0, s]   [2 p, 0, -2 s]
 Sign notes.  The quantum row follows from the Schrodinger equation with the
 half-Rabi Hamiltonian: writing the Bloch-variable equations out gives
 dR1/dt = -(s/2) R2, dR2/dt = (s/2) R1 - (p/2) R3, dR3/dt = (p/2) R2, which is
-W x R with W = [p/2, 0, s/2].  The dark projection (p x1 + s x3)/|(p,s)| is
-then literally X . W-hat, constant while the state follows the field.  The
+W x R with W = [p/2, 0, s/2].  The dark projection (p x1 + s x3)/|(p,s)|,
+which every trajectory carries as its ``dark_variable`` diagnostic, is then
+literally X . W-hat, constant while the state follows the field.  The
 classical rows keep their textbook full-strength couplings, so for matched
 |W| profiles a classical trajectory equals the quantum one reflected as
 (x, y, z) -> (-x, y, z); absolute components coincide exactly.
@@ -31,7 +32,6 @@ magnetic fields; its coupling is the fixed kinematic factor 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "SystemMapping",
     "SYSTEM_KINDS",
     "to_angular_velocity",
-    "dark_variable",
     "AdiabaticityMargin",
     "lorentz_adiabaticity_bound",
 ]
@@ -123,22 +122,6 @@ def to_angular_velocity(mapping: SystemMapping, schedule: PulseSchedule) -> Angu
     return AngularVelocityField(
         sample=sample, kind=mapping.kind, profiles=profiles, components=components
     )
-
-
-def dark_variable(p_value: float, s_value: float, x):
-    """Projection (p*x1 + s*x3)/sqrt(p^2 + s^2) of the state onto the field.
-
-    The unified dark superposition: for the quantum state vector it is the
-    dark-state amplitude, for the charged particle the dark velocity, for
-    the magnetic moment the dark moment.  Inputs are unsigned magnitudes;
-    both zero returns ``None`` (undefined direction).
-    """
-    if p_value < 0 or s_value < 0:
-        raise ValueError("unsigned convention violated")
-    if p_value == 0.0 and s_value == 0.0:
-        return None
-    x = np.asarray(x, dtype=float)
-    return float((p_value * x[0] + s_value * x[2]) / math.hypot(p_value, s_value))
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from torque_stirap.analysis import (
-    adiabaticity_report,
-    area_scan,
-    delay_scan,
-    transfer_efficiency,
-)
+from torque_stirap.analysis import area_scan, delay_scan, transfer_efficiency
 from torque_stirap.dynamics import AngularVelocityField, integrate, time_grid
 from torque_stirap.pulses import PulseSchedule, refine_quadrature, rms_area
 from torque_stirap.systems import SystemMapping, to_angular_velocity
-
-SQRT_PI = math.sqrt(math.pi)
 
 
 def run_reference(amplitude=20.0, delay=-1.2, steps=4096, kind="lorentz"):
@@ -28,10 +21,6 @@ class TestTransferEfficiency:
         rep = transfer_efficiency(run_reference(), "x")
         assert rep.transfer_efficiency > 0.99
         assert rep.max_intermediate == pytest.approx(4.50e-3, abs=2e-4)
-        a_p, a_s, a_rms = rep.areas
-        assert a_p == pytest.approx(20.0 * SQRT_PI, rel=1e-6)
-        assert a_s == pytest.approx(20.0 * SQRT_PI, rel=1e-6)
-        assert a_rms == pytest.approx(rms_area(PulseSchedule.from_delay(20.0, -1.2)), rel=1e-9)
 
     def test_no_field_keeps_start(self):
         field = AngularVelocityField.constant([0.0, 0.0, 0.0])
@@ -39,7 +28,6 @@ class TestTransferEfficiency:
         rep = transfer_efficiency(traj, "z")
         assert rep.transfer_efficiency == pytest.approx(1.0)
         assert rep.max_intermediate == 0.0
-        assert rep.areas is None
 
     def test_intuitive_full_revolution(self):
         # rms area exactly 2*pi*k leaves the precession aligned with x
@@ -55,7 +43,7 @@ class TestTransferEfficiency:
 
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="target_axis"):
-            transfer_efficiency(run_reference(steps=64), "w")
+            transfer_efficiency(run_reference(steps=512), "w")
 
 
 class TestDelayScan:
@@ -116,7 +104,7 @@ class TestDelayScan:
         taus = np.linspace(-1.5, 1.5, 7)
         a = delay_scan(base, taus, SystemMapping("lorentz"), steps=512)
         b = delay_scan(base, taus, SystemMapping("lorentz"), steps=512)
-        for name in ("final_states", "rms_areas", "max_rate_ratio", "norm_drift"):
+        for name in ("final_states", "rms_areas", "norm_drift"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_failed_rows_annotated_and_scan_continues(self):
@@ -177,40 +165,3 @@ class TestAreaScan:
             area_scan(
                 PulseSchedule.from_delay(40.0, 1.2), [-1.0], SystemMapping("lorentz")
             )
-
-
-class TestAdiabaticityReport:
-    def test_reference_areas(self):
-        rep = adiabaticity_report(PulseSchedule.from_delay(20.0, -1.2))
-        assert rep.a_p == pytest.approx(20.0 * SQRT_PI, rel=1e-9)
-        assert rep.a_s == pytest.approx(20.0 * SQRT_PI, rel=1e-9)
-        assert rep.max_theta_rate_ratio == pytest.approx(0.0608, abs=0.002)
-
-    def test_separated_pulses_flagged(self):
-        # crossing happens where the fields are tiny: ratio blows up
-        rep = adiabaticity_report(PulseSchedule.from_delay(40.0, -6.0))
-        assert rep.max_theta_rate_ratio == pytest.approx(859.06, rel=1e-3)
-        ok = adiabaticity_report(PulseSchedule.from_delay(40.0, -1.2))
-        assert ok.max_theta_rate_ratio < 0.05
-
-    def test_scaling_leaves_areas_invariant(self):
-        sched = PulseSchedule.from_delay(13.0, -0.9)
-        rep = adiabaticity_report(sched)
-        k = 2.0
-        scaled = PulseSchedule(
-            p_pulse=sched.p_pulse.__class__.gaussian(
-                k * sched.p_pulse.amplitude,
-                sched.p_pulse.center / k,
-                sched.p_pulse.width / k,
-            ),
-            s_pulse=sched.s_pulse.__class__.gaussian(
-                k * sched.s_pulse.amplitude,
-                sched.s_pulse.center / k,
-                sched.s_pulse.width / k,
-            ),
-            delay=sched.delay / k,
-        )
-        rep2 = adiabaticity_report(scaled)
-        assert rep2.a_p == pytest.approx(rep.a_p, abs=1e-9)
-        assert rep2.a_s == pytest.approx(rep.a_s, abs=1e-9)
-        assert rep2.a_rms == pytest.approx(rep.a_rms, abs=1e-9)

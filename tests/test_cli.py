@@ -145,6 +145,14 @@ class TestParseConfig:
         assert parse_config(None, {}, "verify").out_path == "verify_summary.json"
         assert RunConfig(experiment="simulate").out_path == "simulate.csv"
 
+    def test_null_unsets_optional_keys_only(self):
+        cfg = parse_config(
+            '{"coupling": null, "s_b0": null, "window": null}', {}, "simulate"
+        )
+        assert cfg == parse_config(None, {}, "simulate")
+        with pytest.raises(ConfigError, match="malformed number for key 'b0': None"):
+            parse_config('{"b0": null}', {}, "simulate")
+
 
 class TestSimulateCommand:
     def test_reference_csv(self, tmp_path):
@@ -250,12 +258,51 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("method", ["rk4", "rotation", "adaptive"])
     def test_overflowing_field_fails_cleanly(self, tmp_path, capsys, method):
-        # finite but so strong that the integration overflows
+        # finite but so strong that the integration overflows; rk4's
+        # stability check rejects such a field before it steps
         out = tmp_path / "big.csv"
         assert main(["simulate", "--b0", "1e200", "--method", method,
                      "--steps", "64", "--out", str(out)]) == 1
-        assert "error: non-finite state at t=" in capsys.readouterr().err
+        expected = "rk4 unstable: |W|*h = " if method == "rk4" else "non-finite state at t="
+        assert f"error: {expected}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--steps", "16"], ["--b0", "1280"]],
+                             ids=["steps-16", "b0-1280"])
+    def test_unstable_rk4_fails_cleanly(self, tmp_path, capsys, args):
+        # |W| h above 2 sqrt(2): rk4 would amplify the state (a final norm
+        # of 1e10 at 16 steps); an overflow must not leak a numpy warning
+        out = tmp_path / "unstable.csv"
+        assert main(["simulate", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rk4 unstable: |W|*h = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", [cli.MAX_STEPS + 1, 10**13])
+    def test_unbounded_steps_rejected(self, tmp_path, capsys, steps):
+        out = tmp_path / "huge.csv"
+        assert main(["simulate", "--steps", str(steps), "--out", str(out)]) == 2
+        assert f"error: steps must be <= {cli.MAX_STEPS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, settings", [
+        ("simulate", {"steps": 512}),
+        ("simulate", {"method": "adaptive", "steps": 256}),
+        ("scan-delay", {"delay_min": -1.2, "delay_max": 1.2, "delay_step": 1.2,
+                        "method": "rotation", "steps": 256}),
+        ("scan-area", {"amp_min": 35.0, "amp_max": 36.0, "amp_step": 0.5,
+                       "steps": 1024}),
+    ], ids=["rk4", "adaptive", "scan-delay", "scan-area"])
+    def test_csv_replays_from_its_header(self, tmp_path, experiment, settings):
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        assert main([experiment, "--config", str(cfg), "--out", str(first)]) == 0
+        (echo,) = [m for m in read_csv(first)[0] if m.startswith("# config: ")]
+        cfg.write_text(echo[len("# config: "):])
+        assert main([experiment, "--config", str(cfg), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
 
 class TestScanCommands:
@@ -311,6 +358,18 @@ class TestScanCommands:
         assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
         assert "error: scan " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unstable_rk4_rows_fail(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"delay_min": -1.2, "delay_max": 1.2, "delay_step": 1.2, "steps": 16}
+        ))
+        out = tmp_path / "unstable.csv"
+        assert main(["scan-delay", "--config", str(cfg), "--out", str(out)]) == 1
+        _, _, rows, footer = read_csv(out)
+        assert rows.shape[0] == 3 and np.all(np.isnan(rows[:, 1:]))
+        assert len(footer) == 3
+        assert all("rk4 unstable: |W|*h = " in line for line in footer)
 
     def test_scan_point_cap_boundary(self):
         assert cli._value_grid(0.0, 99_999.0, 1.0).size == cli.MAX_SCAN_POINTS

@@ -10,11 +10,9 @@ from torque_stirap.dynamics import (
     adaptive_path,
     dense_output,
     integrate,
-    step_exact,
     time_grid,
-    torque_rhs,
 )
-from torque_stirap.pulses import PulseEnvelope, PulseSchedule, mixing_angle
+from torque_stirap.pulses import PulseSchedule, mixing_angle
 from torque_stirap.systems import SYSTEM_KINDS, SystemMapping, to_angular_velocity
 
 
@@ -135,15 +133,23 @@ class TestKernelAgainstLoop:
         assert_kernel_matches_loop(field, (0.2, -0.5, 0.84), grid, method)
 
     def test_diagnostics_hold_across_chunks(self):
-        # sampled pulses with both-zero stretches at the start, across the
-        # first two chunk boundaries, and at the end
+        # interpolated pulses with both-zero stretches at the start, across
+        # the first two chunk boundaries, and at the end
         t = np.linspace(-3.0, 3.0, 601)
         p = 20.0 * np.exp(-((t + 0.5) ** 2))
         s = 20.0 * np.exp(-((t - 0.5) ** 2))
         gaps = ((t > -1.4) & (t < -1.1)) | ((t > 1.3) & (t < 1.6))
         p[gaps] = s[gaps] = 0.0
-        sched = PulseSchedule(PulseEnvelope.sampled(t, p), PulseEnvelope.sampled(t, s))
-        field = to_angular_velocity(SystemMapping("lorentz"), sched)
+
+        def profiles(tq):
+            return (np.interp(tq, t, p, left=0.0, right=0.0),
+                    np.interp(tq, t, s, left=0.0, right=0.0))
+
+        def sample(tq):
+            pq, sq = profiles(tq)
+            return np.column_stack((pq, np.zeros_like(pq), -sq))  # lorentz, q/m = 1
+
+        field = AngularVelocityField(sample=sample, kind="lorentz", profiles=profiles)
         grid = time_grid(-4.0, 4.0, 3000)
         traj = integrate(field, (0.0, 0.0, 1.0), grid)
         theta, dark = loop_diagnostics(field.profiles, grid, traj.states)
@@ -191,7 +197,7 @@ def _pulses(t):
 
 def torque_nodes_rhs(t, y):
     p, s = _pulses(t)
-    return torque_rhs((p, 0.0, s), y)
+    return np.cross((p, 0.0, s), y)
 
 
 def schrodinger_nodes_rhs(t, c):
@@ -227,31 +233,21 @@ class TestDenseOutputAgainstLoop:
         np.testing.assert_array_equal(out[-2:], ys[[4, 4]])
 
 
-class TestTorqueRhs:
-    def test_collinear_gives_zero(self):
-        assert np.allclose(torque_rhs([0, 0, 5], [0, 0, 1]), 0.0)
-
-    def test_unit_cross(self):
-        omega = 3.7
-        assert np.allclose(torque_rhs([0, 0, omega], [1, 0, 0]), [0, omega, 0])
-
-    def test_orthogonality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            w = rng.normal(size=3)
-            x = rng.normal(size=3)
-            assert abs(torque_rhs(w, x) @ x) < 1e-12 * (np.linalg.norm(w) * (x @ x) + 1)
+def rotate_once(w, x, h):
+    """One rotation step of length ``h`` about the constant axis ``w``."""
+    field = AngularVelocityField.constant(w)
+    return integrate(field, x, time_grid(0.0, h, 1), method="rotation").final_state
 
 
 class TestStepExact:
     def test_quarter_turn(self):
         h = 0.37
-        out = step_exact([0, 0, math.pi / (2 * h)], [1, 0, 0], h)
+        out = rotate_once([0, 0, math.pi / (2 * h)], [1, 0, 0], h)
         assert np.allclose(out, [0, 1, 0], atol=1e-12)
 
     def test_zero_axis_identity(self):
         x = np.array([0.3, -0.4, 1.1])
-        assert np.array_equal(step_exact([0, 0, 0], x, 0.5), x)
+        assert np.array_equal(rotate_once([0, 0, 0], x, 0.5), x)
 
     def test_half_steps_compose(self):
         rng = np.random.default_rng(5)
@@ -259,8 +255,8 @@ class TestStepExact:
             w = rng.normal(size=3)
             x = rng.normal(size=3)
             h = rng.uniform(0.01, 1.0)
-            once = step_exact(w, x, h)
-            twice = step_exact(w, step_exact(w, x, h / 2), h / 2)
+            once = rotate_once(w, x, h)
+            twice = rotate_once(w, rotate_once(w, x, h / 2), h / 2)
             assert np.allclose(once, twice, atol=1e-12)
 
     def test_norm_preserved(self):
@@ -268,7 +264,7 @@ class TestStepExact:
         for _ in range(50):
             w = rng.normal(size=3) * 10
             x = rng.normal(size=3)
-            out = step_exact(w, x, rng.uniform(0, 2))
+            out = rotate_once(w, x, rng.uniform(0, 2))
             assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), rel=1e-14)
 
 
@@ -405,5 +401,5 @@ class TestIntegrate:
         assert d.mixing_angle[0] == pytest.approx(0.0, abs=1e-6)
         assert d.mixing_angle[-1] == pytest.approx(math.pi / 2, abs=1e-6)
         assert np.all(np.diff(traj.times) > 0)
-        sq = traj.component_squares()
+        sq = traj.states**2 / (traj.states[0] @ traj.states[0])
         assert np.all(sq >= 0) and np.all(sq <= 1 + 1e-9)

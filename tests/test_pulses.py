@@ -11,7 +11,6 @@ from torque_stirap.pulses import (
     evaluate_envelope,
     mixing_angle,
     mixing_angles,
-    pulse_area,
     refine_quadrature,
     rms_area,
 )
@@ -70,21 +69,6 @@ class TestEnvelope:
             with pytest.raises(ValueError, match="must be finite"):
                 PulseEnvelope.gaussian(amplitude, center=center)
 
-    def test_sampled_interpolation_and_support(self):
-        times = np.array([0.0, 1.0, 2.0])
-        values = np.array([0.0, 4.0, 0.0])
-        env = PulseEnvelope.sampled(times, values)
-        assert evaluate_envelope(env, 0.5) == pytest.approx(2.0)
-        assert evaluate_envelope(env, 1.0) == pytest.approx(4.0)
-        assert evaluate_envelope(env, -0.1) == 0.0
-        assert evaluate_envelope(env, 2.1) == 0.0
-
-    def test_sampled_validation(self):
-        with pytest.raises(ValueError):
-            PulseEnvelope.sampled([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            PulseEnvelope.sampled([0.0, 1.0], [1.0, -2.0])
-
 
 class TestMixingAngle:
     def test_s_only_is_zero(self):
@@ -127,27 +111,22 @@ class TestMixingAngle:
 
 class TestAreas:
     def test_gaussian_closed_form(self):
-        env = PulseEnvelope.gaussian(20.0, center=0.0, width=1.0)
-        area = pulse_area(env, window=(-8.0, 8.0))
+        # one pulse alone: the rms area is that pulse's area
+        sched = PulseSchedule(
+            p_pulse=PulseEnvelope.gaussian(20.0, center=0.0, width=1.0),
+            s_pulse=PulseEnvelope.gaussian(0.0),
+        )
+        area = rms_area(sched, window=(-8.0, 8.0))
         assert area == pytest.approx(20.0 * SQRT_PI, rel=1e-9)
 
     def test_zero_amplitude(self):
-        env = PulseEnvelope.gaussian(0.0)
-        assert pulse_area(env) == 0.0
-
-    def test_sampled_copy_matches_closed_form(self):
-        # trapezoid quadrature of a sampled copy against the exact integral
-        t = np.linspace(-8.0, 8.0, 4097)
-        gauss = PulseEnvelope.gaussian(20.0, center=0.0, width=1.0)
-        env = PulseEnvelope.sampled(t, evaluate_envelope(gauss, t))
-        area = pulse_area(env, window=(-8.0, 8.0))
-        assert area == pytest.approx(20.0 * SQRT_PI, abs=1e-6)
+        assert rms_area(PulseSchedule.from_delay(0.0, 0.0)) == 0.0
 
     def test_empty_window_warns_and_returns_zero(self):
-        env = PulseEnvelope.gaussian(1.0)
+        sched = PulseSchedule.from_delay(1.0, 0.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert pulse_area(env, window=(1.0, 1.0)) == 0.0
+            assert rms_area(sched, window=(1.0, 1.0)) == 0.0
         assert any("empty" in str(w.message) for w in caught)
 
     def test_rms_disjoint_pulses_add(self):
@@ -179,10 +158,10 @@ class TestAreas:
                 width=rng.uniform(0.5, 2),
                 s_amplitude=rng.uniform(1, 40),
             )
-            w = sched.window()
-            a_p = pulse_area(sched.p_pulse, w)
-            a_s = pulse_area(sched.s_pulse, w)
-            a_rms = rms_area(sched, w)
+            # closed-form Gaussian areas; the window holds both pulses
+            a_p = sched.p_pulse.amplitude * sched.p_pulse.width * SQRT_PI
+            a_s = sched.s_pulse.amplitude * sched.s_pulse.width * SQRT_PI
+            a_rms = rms_area(sched, sched.window())
             assert a_rms <= a_p + a_s + 1e-9
             assert a_rms >= max(a_p, a_s) - 1e-9
 

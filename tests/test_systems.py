@@ -7,7 +7,6 @@ from torque_stirap.dynamics import AngularVelocityField, integrate, time_grid
 from torque_stirap.pulses import PulseSchedule
 from torque_stirap.systems import (
     SystemMapping,
-    dark_variable,
     lorentz_adiabaticity_bound,
     to_angular_velocity,
 )
@@ -21,26 +20,26 @@ class TestMappingTable:
         sched = PulseSchedule.from_delay(omega, 0.0, s_amplitude=omega)
         field = to_angular_velocity(SystemMapping("quantum"), sched)
         # half-coupling structure: both components positive
-        w = field(0.0)
+        w = field.sample(np.array([0.0]))[0]
         assert w == pytest.approx([omega / 2, 0.0, omega / 2])
 
     def test_quantum_s_only(self):
         omega = 6.0
         sched = PulseSchedule.from_delay(1.0, 0.0).with_amplitude(0.0, s_amplitude=omega)
         field = to_angular_velocity(SystemMapping("quantum"), sched)
-        assert field(0.0) == pytest.approx([0.0, 0.0, omega / 2])
+        assert field.sample(np.array([0.0]))[0] == pytest.approx([0.0, 0.0, omega / 2])
 
     def test_lorentz_z_field(self):
         b = 3.5
         sched = PulseSchedule.from_delay(1.0, 0.0).with_amplitude(0.0, s_amplitude=b)
         field = to_angular_velocity(SystemMapping("lorentz", coupling=1.0), sched)
-        assert field(0.0) == pytest.approx([0.0, 0.0, -b])
+        assert field.sample(np.array([0.0]))[0] == pytest.approx([0.0, 0.0, -b])
 
     def test_coriolis_fixed_coupling(self):
         w0 = 2.2
         sched = PulseSchedule.from_delay(1.0, 0.0).with_amplitude(0.0, s_amplitude=w0)
         field = to_angular_velocity(SystemMapping("coriolis"), sched)
-        assert field(0.0) == pytest.approx([0.0, 0.0, -2.0 * w0])
+        assert field.sample(np.array([0.0]))[0] == pytest.approx([0.0, 0.0, -2.0 * w0])
         with pytest.raises(ValueError, match="fixed at 2"):
             SystemMapping("coriolis", coupling=1.0)
 
@@ -111,6 +110,16 @@ class TestCrossSystemEquivalence:
         assert np.allclose(lor, q * np.array([-1.0, 1.0, 1.0]), atol=1e-12)
 
 
+def dark_variable(p_value, s_value, x):
+    """The dark-projection diagnostic at the first sample of a run whose
+    profiles are held at ``p_value`` and ``s_value`` (under no field)."""
+    field = AngularVelocityField(
+        sample=lambda t: np.zeros((t.size, 3)),
+        profiles=lambda t: (np.full(t.size, p_value), np.full(t.size, s_value)),
+    )
+    return integrate(field, x, time_grid(0.0, 1.0, 1)).diagnostics.dark_variable[0]
+
+
 class TestDarkVariable:
     def test_initial_alignment(self):
         assert dark_variable(0.0, 5.0, [0, 0, 1]) == pytest.approx(1.0)
@@ -123,11 +132,8 @@ class TestDarkVariable:
         assert dark_variable(3.0, 3.0, x) == pytest.approx(0.0, abs=1e-15)
 
     def test_both_zero_sentinel(self):
-        assert dark_variable(0.0, 0.0, [0, 0, 1]) is None
-
-    def test_unsigned_convention(self):
-        with pytest.raises(ValueError, match="unsigned"):
-            dark_variable(-1.0, 2.0, [0, 0, 1])
+        # undefined direction: the value held before any defined sample
+        assert dark_variable(0.0, 0.0, [0, 0, 1]) == 0.0
 
     def test_constancy_on_counterintuitive_run(self):
         # rotation picture: the projection stays within 1% of unity
